@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Sequence
 
 from repro import obs as obs_mod
 from repro.core.algorithms import SiteView, make_algorithm
@@ -269,6 +269,20 @@ class SphinxServer:
         self._use_view_cache = config.view_cache
         self._view_cache: dict[str, SiteView] = {}
         self._view_snap: dict[str, Any] = {}
+        #: the planner's candidate views, one per ``_catalog_sites``
+        #: entry (None until the first plan): a projection of the cache
+        #: above, not a second copy of the state.  A site whose cached
+        #: view is dropped is marked dirty; a new monitoring poll marks
+        #: every site dirty.  ``_candidate_views`` refreshes an entry
+        #: only when the site is dirty *and* a candidate, through
+        #: ``_site_view`` — so each view is built exactly when the
+        #: per-site cache alone would build it.
+        self._view_list: Optional[list[SiteView]] = None
+        self._view_pos: dict[str, int] = {
+            s: i for i, s in enumerate(self._catalog_sites)
+        }
+        self._view_dirty: set[str] = set()
+        self._view_poll = -1
         #: federation seam: a callable ``site -> (planned, running)``
         #: merged into every view's load counters (peer-shard load from
         #: digests).  None — the default — is branch-free off the view
@@ -837,7 +851,7 @@ class SphinxServer:
         if not candidates:
             self._plan_deferred(drow, job.job_id, "no-feasible-site")
             return False  # nothing feasible now; retry next tick
-        views = [self._site_view(s) for s in candidates]
+        views = self._candidate_views(candidates)
         site = None
         reservation_id = None
         group = self._job_reservations.get(job.job_id)
@@ -1086,12 +1100,12 @@ class SphinxServer:
         stages = self._stage_levels(dag)
         if len(stages) < 2:
             return  # single-stage dags plan immediately; nothing to book
-        candidates = list(self.site_catalog)
+        candidates = self._catalog_sites
         if self.config.use_feedback:
-            reliable = list(self.feedback.reliable_sites(candidates))
+            reliable = self.feedback.reliable_sites(candidates)
             if reliable:
                 candidates = reliable
-        views = [self._site_view(s) for s in candidates]
+        views = self._candidate_views(candidates)
         start = self.env.now
         slack = self.config.reservation_slack
         for lvl in sorted(stages):
@@ -1259,6 +1273,45 @@ class SphinxServer:
     def _invalidate_site_view(self, site: str) -> None:
         """Drop one site's cached view (its inputs just changed)."""
         self._view_cache.pop(site, None)
+        self._view_dirty.add(site)
+
+    def _drop_site_views(self) -> None:
+        """Drop every cached view and the candidate list built on them."""
+        self._view_cache.clear()
+        self._view_list = None
+
+    def _candidate_views(self, candidates: Sequence[str]) -> list[SiteView]:
+        """One current view per candidate site, in candidate order.
+
+        The full catalog (the quota-exempt, drain-free, feedback-clean
+        common case) gets the candidate list itself, so a plan costs
+        O(dirty sites) instead of O(sites).  Callers only read it.
+        """
+        if not self._use_view_cache:
+            return [self._site_view(s) for s in candidates]
+        views = self._view_list
+        dirty = self._view_dirty
+        if views is None:
+            views = self._view_list = [None] * len(self._catalog_sites)
+            dirty.update(self._catalog_sites)
+        poll = self.monitoring.poll_count
+        if poll != self._view_poll:
+            # The poller replaced snapshots; _site_view rebuilds the
+            # sites whose snapshot changed and returns the rest cached.
+            self._view_poll = poll
+            dirty.update(self._catalog_sites)
+        pos = self._view_pos
+        if candidates is self._catalog_sites:
+            for site in dirty:
+                views[pos[site]] = self._site_view(site)
+            dirty.clear()
+            return views
+        if dirty:
+            for site in candidates:
+                if site in dirty:
+                    views[pos[site]] = self._site_view(site)
+                    dirty.discard(site)
+        return [views[pos[s]] for s in candidates]
 
     def site_load_snapshot(self) -> dict:
         """Compact load digest of this server (the federation export).
@@ -1331,6 +1384,7 @@ class SphinxServer:
         # The view reads these counters (and the load-corrected
         # prediction reads planned); O(1) invalidation per transition.
         self._view_cache.pop(site, None)
+        self._view_dirty.add(site)
 
     def _release_active(self, row: dict, site: str) -> None:
         """Drop a terminal job from the per-site active counters."""
@@ -1342,7 +1396,7 @@ class SphinxServer:
 
     def _rebuild_site_counters(self) -> None:
         """Reconstruct counters from the jobs table (recovery path)."""
-        self._view_cache.clear()
+        self._drop_site_views()
         for counters in self._site_active.values():
             counters[0] = counters[1] = 0
         for row in self.warehouse.table("jobs").select(

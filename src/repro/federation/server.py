@@ -86,7 +86,7 @@ class FederatedSphinxServer(SphinxServer):
         self.ledger = ShardQuotaLedger(self)
         self._remote_load = self._digest_remote_load
         # Remote load changes every cached view's inputs; start clean.
-        self._view_cache.clear()
+        self._drop_site_views()
         self.bus.register(self.service_name, "load_digest",
                           self._rpc_load_digest)
         self.bus.register(self.service_name, "lease_transfer",

@@ -10,6 +10,9 @@ The RLS architecture the paper used is two-tier:
 SPHINX's DAG reducer and transfer planner query the index;
 "SPHINX makes efficient use of the RLS by clubbing all its requests in
 a single call" — reproduced as :meth:`ReplicaLocationIndex.bulk_lookup`.
+That call is only cheap if one lookup is, so the index keeps an
+inverted LFN -> sites map that every LRC mutation updates in place: a
+lookup is one dict read, independent of how many sites are attached.
 
 :class:`ReplicaService` bundles an RLI over per-site LRCs and registers
 the query methods on the RPC bus.
@@ -17,6 +20,7 @@ the query methods on the RPC bus.
 
 from __future__ import annotations
 
+from bisect import bisect
 from typing import Iterable, Optional
 
 from repro.sim.engine import Environment
@@ -30,16 +34,27 @@ class LocalReplicaCatalog:
     def __init__(self, site_name: str):
         self.site_name = site_name
         self._replicas: dict[str, float] = {}  # lfn -> size_mb
+        #: the index this LRC is attached to (set by
+        #: :meth:`ReplicaLocationIndex.attach`); told of every new or
+        #: dropped LFN, so LRCs mutated directly stay indexed too.
+        self._index: Optional[ReplicaLocationIndex] = None
 
     def register(self, lfn: str, size_mb: float = 0.0) -> None:
         if not lfn:
             raise ValueError("lfn must be non-empty")
         if size_mb < 0:
             raise ValueError("size must be >= 0")
+        new = lfn not in self._replicas
         self._replicas[lfn] = size_mb
+        if new and self._index is not None:
+            self._index._add(lfn, self.site_name)
 
     def unregister(self, lfn: str) -> bool:
-        return self._replicas.pop(lfn, None) is not None
+        if self._replicas.pop(lfn, None) is None:
+            return False
+        if self._index is not None:
+            self._index._remove(lfn, self.site_name)
+        return True
 
     def has(self, lfn: str) -> bool:
         return lfn in self._replicas
@@ -58,9 +73,13 @@ class LocalReplicaCatalog:
 class ReplicaLocationIndex:
     """Soft-state index over a set of LRCs.
 
-    With ``update_interval_s == 0`` the index reads LRCs directly
-    (always fresh); otherwise it holds a snapshot refreshed on that
-    period, reproducing the staleness of a production RLI.
+    With ``update_interval_s == 0`` the index answers from the live
+    inverted map (always fresh); otherwise it answers from a copy of
+    that map taken on that period, reproducing the staleness of a
+    production RLI.
+
+    Ordering contract: the sites of an LFN are listed in attach order,
+    whatever order their replicas were registered in.
     """
 
     def __init__(
@@ -73,6 +92,11 @@ class ReplicaLocationIndex:
         self.env = env
         self.update_interval_s = update_interval_s
         self._lrcs: dict[str, LocalReplicaCatalog] = {}
+        #: site -> attach position, the sort key of every sites tuple
+        self._rank: dict[str, int] = {}
+        #: lfn -> sites holding it, in attach order (live)
+        self._locations: dict[str, tuple[str, ...]] = {}
+        #: soft-state copy of ``_locations`` (refresh mode only)
         self._snapshot: dict[str, tuple[str, ...]] = {}
         self.last_update_at: Optional[float] = None
         if update_interval_s > 0:
@@ -80,9 +104,33 @@ class ReplicaLocationIndex:
 
     # -- LRC management --------------------------------------------------------
     def attach(self, lrc: LocalReplicaCatalog) -> None:
-        if lrc.site_name in self._lrcs:
-            raise ValueError(f"LRC for {lrc.site_name!r} already attached")
-        self._lrcs[lrc.site_name] = lrc
+        name = lrc.site_name
+        if name in self._lrcs:
+            raise ValueError(f"LRC for {name!r} already attached")
+        if lrc._index is not None:
+            raise ValueError(f"LRC for {name!r} belongs to another index")
+        self._rank[name] = len(self._lrcs)
+        self._lrcs[name] = lrc
+        lrc._index = self
+        # The newest LRC sorts last, so its files append.
+        locations = self._locations
+        for lfn in lrc._replicas:
+            locations[lfn] = locations.get(lfn, ()) + (name,)
+
+    def _add(self, lfn: str, site: str) -> None:
+        sites = self._locations.get(lfn)
+        if sites is None:
+            self._locations[lfn] = (site,)
+            return
+        i = bisect(sites, self._rank[site], key=self._rank.__getitem__)
+        self._locations[lfn] = sites[:i] + (site,) + sites[i:]
+
+    def _remove(self, lfn: str, site: str) -> None:
+        sites = tuple(s for s in self._locations[lfn] if s != site)
+        if sites:
+            self._locations[lfn] = sites
+        else:
+            del self._locations[lfn]
 
     def lrc(self, site_name: str) -> LocalReplicaCatalog:
         return self._lrcs[site_name]
@@ -95,9 +143,7 @@ class ReplicaLocationIndex:
     def lookup(self, lfn: str) -> tuple[str, ...]:
         """Sites believed to hold ``lfn`` (deterministic order)."""
         if self.update_interval_s == 0:
-            return tuple(
-                name for name, lrc in self._lrcs.items() if lrc.has(lfn)
-            )
+            return self._locations.get(lfn, ())
         return self._snapshot.get(lfn, ())
 
     def bulk_lookup(self, lfns: Iterable[str]) -> dict[str, tuple[str, ...]]:
@@ -108,12 +154,13 @@ class ReplicaLocationIndex:
         return bool(self.lookup(lfn))
 
     def refresh(self) -> None:
-        """Force a soft-state update (also runs on the timer)."""
-        snapshot: dict[str, list[str]] = {}
-        for name, lrc in self._lrcs.items():
-            for lfn in lrc.lfns:
-                snapshot.setdefault(lfn, []).append(name)
-        self._snapshot = {lfn: tuple(sites) for lfn, sites in snapshot.items()}
+        """Force a soft-state update (also runs on the timer).
+
+        A shallow copy of the live map: the tuples are immutable, so
+        later LRC changes cannot leak into the copy before the next
+        refresh.
+        """
+        self._snapshot = dict(self._locations)
         self.last_update_at = self.env.now
 
     def _refresher(self):

@@ -161,3 +161,210 @@ def test_scenario_identical_with_and_without_cache(control_plane, seed):
             {label: s.jobs_per_site for label, s in result.servers.items()}
 
     assert run(True) == run(False)
+
+
+# -- the planner's candidate-view list ---------------------------------------
+#
+# ``_candidate_views`` projects the per-site cache onto a list aligned
+# with the catalog and refreshes only dirty entries.  Whatever the
+# candidate set, the list it hands the algorithm must equal a fresh
+# rebuild of every candidate at that instant.
+
+QUOTA_USER = "/VO=v/CN=q"
+REQS = {"cpu_seconds": 10.0}
+
+
+def _assert_list_matches(server, candidates):
+    views = server._candidate_views(candidates)
+    assert [v.name for v in views] == list(candidates)
+    assert views == [_fresh_view(server, s) for s in candidates]
+
+
+def _candidate_sets(server):
+    catalog = server._catalog_sites
+    return (
+        catalog,
+        server.policy.feasible_sites(QUOTA_USER, REQS, catalog),
+        server.feedback.reliable_sites(catalog),
+        tuple(s for s in catalog if s not in server._draining),
+        catalog[::-1],
+    )
+
+
+def _spy_on_planner(server, seen):
+    """Check every list the planner hands the algorithm, at that instant."""
+    choose = server.algorithm.choose_site
+
+    def checked(job_id, views):
+        names = [v.name for v in views]
+        assert list(views) == [_fresh_view(server, s) for s in names], job_id
+        seen.append((job_id, names))
+        return choose(job_id, views)
+
+    server.algorithm.choose_site = checked
+
+
+def _quota_stack(n_sites=4):
+    env, server = _stack(n_sites=n_sites, use_feedback=True)
+    # The quota user may only run on the even-numbered sites.
+    for i in range(0, n_sites, 2):
+        server.policy.grant(QUOTA_USER, f"s{i}", "cpu_seconds", 1e6)
+    return env, server
+
+
+def _quota_dag(dag_id):
+    return Dag(dag_id, [Job(f"{dag_id}.a", requirements=REQS)])
+
+
+_OPS = ("submit", "submit-quota", "load", "poll", "complete", "drain",
+        "clear", "unreliable", "reliable", "rebuild", "run")
+
+
+@given(
+    ops=st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, 3)),
+                 min_size=1, max_size=12),
+)
+@settings(max_examples=25, deadline=None)
+def test_property_candidate_list_equals_rebuild(ops):
+    """Across planning passes (full-catalog, quota-, feedback- and
+    drain-filtered candidates), monitoring polls over changing site
+    load, estimator updates, feedback flips and recovery rebuilds,
+    every candidate list equals a fresh rebuild of its sites."""
+    env, server = _quota_stack()
+    seen = []
+    _spy_on_planner(server, seen)
+    jobs = server.warehouse.table("jobs")
+    for n, (op, arg) in enumerate(ops):
+        site = f"s{arg}"
+        if op == "submit":
+            server._rpc_submit_dag("c0", "/VO=v/CN=u",
+                                   dag_to_payload(_dag(f"d{n}")))
+        elif op == "submit-quota":
+            server._rpc_submit_dag("c0", QUOTA_USER,
+                                   dag_to_payload(_quota_dag(f"q{n}")))
+        elif op == "load":
+            # Work the next monitoring poll will see at this site.
+            server.monitoring.grid.site(site).submit(
+                f"bg{n}", runtime_s=500.0, detached=True)
+        elif op == "poll":
+            env.run(until=env.now + 60.0)
+        elif op == "complete":
+            active = jobs.select(
+                predicate=lambda r: r["state"] in ("planned", "submitted"))
+            if active:
+                row = active[arg % len(active)]
+                server._rpc_report_status(row["job_id"], "completed",
+                                          row["site"],
+                                          completion_time_s=30.0 + arg)
+        elif op == "drain":
+            server.drain_notice(site)
+        elif op == "clear":
+            server.drain_cleared(site)
+        elif op == "unreliable":
+            while server.feedback.is_reliable(site):
+                server.feedback.record_cancellation(site)
+        elif op == "reliable":
+            while not server.feedback.is_reliable(site):
+                server.feedback.record_completion(site)
+        elif op == "rebuild":
+            server._rebuild_site_counters()
+        env.run(until=env.now + 1.5)  # a planning pass
+        for candidates in _candidate_sets(server):
+            _assert_list_matches(server, candidates)
+    env.run(until=env.now + 61.0)
+    for candidates in _candidate_sets(server):
+        _assert_list_matches(server, candidates)
+
+
+def test_candidate_list_covers_filtered_plans():
+    """The spy sees full-catalog, quota-filtered, drain-filtered and
+    feedback-filtered plans, each list equal to a fresh rebuild."""
+    env, server = _quota_stack()
+    seen = []
+    _spy_on_planner(server, seen)
+    server._rpc_submit_dag("c0", "/VO=v/CN=u", dag_to_payload(_dag("d0")))
+    server._rpc_submit_dag("c0", QUOTA_USER, dag_to_payload(_quota_dag("q0")))
+    env.run(until=2.0)
+    server.drain_notice("s1")
+    server._rpc_submit_dag("c0", "/VO=v/CN=u", dag_to_payload(_dag("d1")))
+    env.run(until=4.0)
+    server.drain_cleared("s1")
+    while server.feedback.is_reliable("s3"):
+        server.feedback.record_cancellation("s3")
+    server._rpc_submit_dag("c0", "/VO=v/CN=u", dag_to_payload(_dag("d2")))
+    env.run(until=6.0)
+    assert [names for _, names in seen] == [
+        ["s0", "s1", "s2", "s3"],
+        ["s0", "s2"],
+        ["s0", "s2", "s3"],
+        ["s0", "s1", "s2"],
+    ]
+
+
+def test_full_catalog_plan_gets_the_list_itself():
+    env, server = _stack()
+    views = server._candidate_views(server._catalog_sites)
+    assert views is server._view_list
+    sub = server._candidate_views(("s2", "s0"))
+    assert sub is not views
+    assert sub == [views[2], views[0]]
+
+
+def test_view_cache_off_rebuilds_per_site():
+    env, server = _stack(view_cache=False)
+    views = server._candidate_views(server._catalog_sites)
+    assert server._view_list is None
+    again = server._candidate_views(server._catalog_sites)
+    assert again == views
+    assert all(a is not b for a, b in zip(again, views))
+
+
+def test_recovery_drops_candidate_list():
+    env, server = _stack()
+    server._candidate_views(server._catalog_sites)
+    server._rebuild_site_counters()
+    assert server._view_list is None
+    _assert_list_matches(server, server._catalog_sites)
+
+
+def test_federation_digest_invalidates_candidate_list():
+    from tests.federation.fedstack import FedStack
+
+    stack = FedStack(n_shards=2, n_sites=3)
+    server = next(iter(stack.servers.values()))
+    assert server._view_list is None  # enable_federation dropped it
+    catalog = server._catalog_sites
+    before = server._candidate_views(catalog)
+    assert before[1].planned_jobs == 0
+    peer = next(lbl for lbl in stack.servers if lbl != server.shard_label)
+    server._rpc_load_digest({
+        "shard": peer, "seq": 1, "issued_at": stack.env.now,
+        "sites": {"s1": [2, 3]}, "inflight_dags": 1,
+    })
+    _assert_list_matches(server, catalog)
+    views = server._candidate_views(catalog)
+    assert (views[1].planned_jobs, views[1].unfinished_jobs) == (2, 3)
+    _assert_list_matches(server, ("s1", "s2"))
+
+
+def test_one_plan_rebuilds_only_the_planned_site(monkeypatch):
+    """After a plan, the next plan rebuilds one view, not one per site."""
+    import repro.core.server as server_mod
+
+    env, server = _stack(n_sites=6)
+    server._rpc_submit_dag("c0", "/VO=v/CN=u", dag_to_payload(_dag("d0")))
+    env.run(until=2.0)  # first poll, first plan
+    (planned,) = server.warehouse.table("jobs").select({"state": "planned"})
+    built = []
+    real = server_mod.SiteView
+
+    def counting(**kw):
+        built.append(kw["name"])
+        return real(**kw)
+
+    monkeypatch.setattr(server_mod, "SiteView", counting)
+    server._rpc_submit_dag("c0", "/VO=v/CN=u", dag_to_payload(_dag("d1")))
+    env.run(until=4.0)
+    assert len(server.warehouse.table("jobs").select({"state": "planned"})) \
+        == 2
+    assert built == [planned["site"]]

@@ -1,6 +1,8 @@
 """Unit tests for the replica location service."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment
 from repro.services import LocalReplicaCatalog, ReplicaLocationIndex, ReplicaService
@@ -149,3 +151,128 @@ class TestReplicaService:
             "bulk": {"f": ["a"], "g": []},
             "exists": False,
         }
+
+
+class TestInvertedIndex:
+    def test_register_order_does_not_change_attach_order(self):
+        svc = ReplicaService(Environment(), ["a", "b", "c"])
+        for site in ("c", "a", "b"):
+            svc.register_replica("f", site)
+        assert svc.locations("f") == ("a", "b", "c")
+        svc.unregister_replica("f", "b")
+        svc.register_replica("f", "b")
+        assert svc.locations("f") == ("a", "b", "c")
+
+    def test_attach_indexes_prepopulated_lrc(self):
+        rli = ReplicaLocationIndex(Environment())
+        a = LocalReplicaCatalog("a")
+        rli.attach(a)
+        a.register("f")
+        b = LocalReplicaCatalog("b")
+        b.register("f")
+        b.register("g")
+        rli.attach(b)
+        assert rli.bulk_lookup(["f", "g"]) == {"f": ("a", "b"), "g": ("b",)}
+
+    def test_lrc_belongs_to_one_index(self):
+        lrc = LocalReplicaCatalog("a")
+        ReplicaLocationIndex(Environment()).attach(lrc)
+        with pytest.raises(ValueError):
+            ReplicaLocationIndex(Environment()).attach(lrc)
+
+    def test_lookup_does_not_probe_lrcs(self, monkeypatch):
+        svc = ReplicaService(Environment(), ["a", "b"])
+        svc.register_replica("f", "b")
+
+        def probe(self, lfn):
+            raise AssertionError("lookup probed an LRC")
+
+        monkeypatch.setattr(LocalReplicaCatalog, "has", probe)
+        assert svc.locations("f") == ("b",)
+        assert svc.bulk_locations(["f", "g"]) == {"f": ("b",), "g": ()}
+
+
+LFNS = ("f0", "f1", "f2", "f3")
+_lfn = st.sampled_from(LFNS)
+_size = st.floats(0.0, 100.0)
+_step = st.one_of(
+    st.tuples(st.just("attach"), st.lists(st.tuples(_lfn, _size),
+                                          max_size=3)),
+    st.tuples(st.just("register"), st.integers(0, 7), _lfn, _size,
+              st.booleans()),
+    st.tuples(st.just("unregister"), st.integers(0, 7), _lfn,
+              st.booleans()),
+    st.tuples(st.just("refresh")),
+)
+
+
+def _scan(lrcs):
+    """The brute-force attach-order scan the index replaces."""
+    return {lfn: tuple(name for name, lrc in lrcs if lrc.has(lfn))
+            for lfn in LFNS}
+
+
+def _scan_snapshot(lrcs):
+    """The snapshot the soft-state refresh used to build by scanning."""
+    snapshot = {}
+    for name, lrc in lrcs:
+        for lfn in lrc.lfns:
+            snapshot.setdefault(lfn, []).append(name)
+    return {lfn: tuple(sites) for lfn, sites in snapshot.items()}
+
+
+@given(steps=st.lists(_step, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_property_index_equals_scan(steps):
+    """Random attach (pre-populated or not), register, re-register and
+    unregister, through the LRC and the service, on a direct and a
+    soft-state index fed the same steps: the direct index always
+    answers like a scan, the soft-state one like the scan at its last
+    refresh."""
+    env = Environment()
+    direct = ReplicaService(env, ["s0", "s1"])
+    soft = ReplicaService(env, ["s0", "s1"], update_interval_s=1e9)
+    stacks = [(direct, [(s, direct.index.lrc(s)) for s in ("s0", "s1")]),
+              (soft, [(s, soft.index.lrc(s)) for s in ("s0", "s1")])]
+    soft.index.refresh()
+    stale = _scan(stacks[1][1])
+    for step in steps:
+        for svc, lrcs in stacks:
+            if step[0] == "attach":
+                name = f"s{len(lrcs)}"
+                lrc = LocalReplicaCatalog(name)
+                for lfn, size in step[1]:
+                    lrc.register(lfn, size)
+                svc.index.attach(lrc)
+                lrcs.append((name, lrc))
+            elif step[0] == "register":
+                _, i, lfn, size, via_service = step
+                name, lrc = lrcs[i % len(lrcs)]
+                if via_service:
+                    svc.register_replica(lfn, name, size)
+                else:
+                    lrc.register(lfn, size)
+            elif step[0] == "unregister":
+                _, i, lfn, via_service = step
+                name, lrc = lrcs[i % len(lrcs)]
+                expect = lrc.has(lfn)
+                if via_service:
+                    assert svc.unregister_replica(lfn, name) is expect
+                else:
+                    assert lrc.unregister(lfn) is expect
+            elif svc is soft:
+                svc.index.refresh()
+                assert svc.index._snapshot == _scan_snapshot(lrcs)
+                stale = _scan(lrcs)
+        for svc, lrcs in stacks:
+            expect = _scan(lrcs) if svc is direct else stale
+            assert {lfn: svc.locations(lfn) for lfn in LFNS} == expect
+            assert svc.bulk_locations(LFNS) == expect
+            assert {lfn: svc.exists(lfn) for lfn in LFNS} == \
+                {lfn: bool(sites) for lfn, sites in expect.items()}
+        # First hit wins: the size comes from the first listed site.
+        lrcs = dict(stacks[0][1])
+        for lfn, sites in _scan(lrcs.items()).items():
+            assert direct.size_of(lfn) == (
+                lrcs[sites[0]].size_of(lfn) if sites else None
+            )
