@@ -4,7 +4,7 @@ Reads one ``BENCH_SUITE.json`` (written by ``repro suite``), appends a
 compact per-case record (events/s, wall-clock, event count) to a
 ``BENCH_TREND.json`` history file persisted across CI runs, and
 compares against the most recent *comparable* previous entry — same
-scale and control plane, since events/s at 10% workload says nothing
+scale and shard set, since events/s at 10% workload says nothing
 about full scale.  Exits 1 when any case's events/s throughput drops
 by more than the threshold (default 20%) or its peak RSS grows by more
 than ``--rss-threshold`` (default 30%) — the memory axis the flight
@@ -47,7 +47,6 @@ def _entry_from_suite(suite: dict, timestamp: float) -> dict:
     return {
         "timestamp": timestamp,
         "scale": suite.get("scale"),
-        "control_plane": suite.get("control_plane", "push"),
         "shards": suite.get("shards", []),
         "workers": suite.get("workers"),
         "cases": {
@@ -67,7 +66,6 @@ def _comparable(entry: dict, other: dict) -> bool:
     # exist with --shards), so runs with different --shards sets are
     # different experiments, not a trend.
     return (entry.get("scale") == other.get("scale")
-            and entry.get("control_plane") == other.get("control_plane")
             and entry.get("shards", []) == other.get("shards", []))
 
 

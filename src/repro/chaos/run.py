@@ -89,7 +89,7 @@ def run_chaos(scenario: Scenario, plan: ChaosPlan,
               obs=None) -> ChaosRunResult:
     """Run ``scenario`` under ``plan`` and audit the wreckage."""
     controller = ChaosController(plan, obs=obs)
-    env = Environment(lean=(scenario.control_plane == "push"))
+    env = Environment()
     result = run_scenario(scenario, env=env, obs=obs, chaos=controller)
     # The run stops the instant the last DAG finishes; transactional
     # delivery acks for that very report may still be on the wire.

@@ -15,22 +15,19 @@ server from the last checkpoint (paper: "easily recoverable from
 internal component failures").
 
 Client communication is message-based over the RPC bus: clients call
-``submit_dag`` / ``report_status`` and drain ``fetch_messages`` for
-planning decisions, mirroring the message-handling module's
-incoming/outgoing tables.
+``submit_dag`` / ``report_status``, and the server pushes each
+client's planning decisions to the client's ``deliver`` service,
+mirroring the message-handling module's incoming/outgoing tables.
 
-Wakeup discipline (``ServerConfig.mode``): in ``"poll"`` mode the
-control process ticks on a fixed ``tick_s`` period, the paper's
-literal cron-style loop.  In ``"push"`` mode (the default) the loop
-blocks on a :class:`~repro.sim.engine.Wakeup` latch signaled by the
-things that can actually create plannable work — a DAG submission, a
-completion/cancellation report (which also releases active slots,
-refunds quota, and updates feedback), a virtual-data regeneration —
-plus a deadline timer derived from the nearest pending job timeout,
-the dirty-dag retry period, and the next checkpoint.  A quiescent
-server schedules zero kernel events.  The FSA/table semantics are
-unchanged: state still lives in warehouse rows and every pass runs the
-same ``tick()``; only the wakeup discipline differs.
+Wakeup discipline: the control process runs one pass at construction,
+then blocks on a :class:`~repro.sim.engine.Wakeup` latch signaled by
+the things that can actually create plannable work — a DAG
+submission, a completion/cancellation report (which also releases
+active slots, refunds quota, and updates feedback), a virtual-data
+regeneration — plus a deadline timer derived from the nearest pending
+job timeout, the dirty-dag retry period (``tick_s``), and the next
+checkpoint.  A quiescent server schedules zero kernel events.  State
+lives in warehouse rows and every pass runs the same ``tick()``.
 """
 
 from __future__ import annotations
@@ -81,12 +78,10 @@ class ServerConfig:
     algorithm_kwargs: dict[str, Any] = field(default_factory=dict)
     #: feedback reliability filter on feasible sites (paper's with/without).
     use_feedback: bool = True
-    #: control-plane wakeup discipline: "push" (event-driven, default)
-    #: or "poll" (fixed ``tick_s`` cadence) — see the module docstring.
-    mode: str = "push"
-    #: control-process period in "poll" mode; in "push" mode the retry
-    #: pacing for dags that could not be fully planned (quota/feedback
-    #: pressure may change without an observable report).
+    #: retry pacing: how soon a pass reruns for dags that could not be
+    #: fully planned (quota/feedback pressure may change without an
+    #: observable report), the floor for an overdue deadline, and the
+    #: redelivery delay of a failed reliable-delivery batch.
     tick_s: float = 5.0
     #: client-side job timeout before cancellation + replan.
     job_timeout_s: float = 1800.0
@@ -139,14 +134,6 @@ class ServerConfig:
     #: rather than zero.  None = auto (chaos plan decides); 0 = off.
     job_checkpoint_interval_s: Optional[float] = None
     job_checkpoint_cost_s: Optional[float] = None
-    #: incremental site-view cache: keep one :class:`SiteView` per site
-    #: and invalidate O(1) on the transitions that can change it (a job
-    #: planned/started/finished/cancelled at the site, a completion
-    #: report feeding the estimator, a monitoring refresh) instead of
-    #: rebuilding every view from warehouse reads for every job
-    #: planned.  Decision-identical to full rebuild (property-tested);
-    #: the knob exists for that test and for bisecting, not for users.
-    view_cache: bool = True
 
 
 class SphinxServer:
@@ -165,11 +152,6 @@ class SphinxServer:
     ):
         if not site_catalog:
             raise ValueError("server needs at least one site in the catalog")
-        if config.mode not in ("poll", "push"):
-            raise ValueError(
-                f"unknown control-plane mode {config.mode!r} "
-                "(expected 'poll' or 'push')"
-            )
         self.env = env
         self.bus = bus
         self.config = config
@@ -259,14 +241,15 @@ class SphinxServer:
         #: serves every job (``tuple(t)`` returns ``t`` unchanged, so
         #: the quota-exempt fast path allocates nothing per job).
         self._catalog_sites: tuple[str, ...] = tuple(self.site_catalog)
-        #: incremental site-view cache (``config.view_cache``): site ->
-        #: its current SiteView, plus the monitoring snapshot identity
-        #: it was built against.  Everything else a view reads is
-        #: invalidated explicitly at the mutation site (see
+        #: incremental site-view cache: site -> its current SiteView,
+        #: plus the monitoring snapshot identity it was built against.
+        #: A view is invalidated O(1) on the transitions that can change
+        #: it (a job planned/started/finished/cancelled at the site, a
+        #: completion report feeding the estimator: see
         #: ``_invalidate_site_view`` callers); monitoring refreshes are
         #: caught by snapshot identity on read, so the cache needs no
-        #: hook into the monitoring service.
-        self._use_view_cache = config.view_cache
+        #: hook into the monitoring service.  Decision-identical to a
+        #: full rebuild (``_build_site_view``), which the tests check.
         self._view_cache: dict[str, SiteView] = {}
         self._view_snap: dict[str, Any] = {}
         #: the planner's candidate views, one per ``_catalog_sites``
@@ -328,11 +311,8 @@ class SphinxServer:
             )
         bus.register(self.service_name, "submit_dag", self._rpc_submit_dag)
         bus.register(self.service_name, "report_status", self._rpc_report_status)
-        bus.register(self.service_name, "fetch_messages", self._rpc_fetch_messages)
 
-        #: push mode: the control-process latch (see module docstring)
-        #: and the set of clients already rung since their last drain.
-        self._push = config.mode == "push"
+        #: the control-process latch (see module docstring)
         self._wakeup = Wakeup(env)
         #: sim time of the earliest live deadline timer (inf = none)
         #: and the timer itself; see _arm_deadline.
@@ -343,14 +323,13 @@ class SphinxServer:
         self._dirty_clients: dict[str, None] = {}
         #: clients with a reliable-delivery batch awaiting its ack.
         self._delivery_inflight: set[str] = set()
-        if self._push:
-            # A restored warehouse may carry undelivered messages (e.g.
-            # dag-finished notifications recovery keeps); deliver them
-            # now so clients are not left waiting on a ring that the
-            # crashed server already consumed.
-            for row in self.warehouse.table("outbox").select(copy=False):
-                self._dirty_clients[row["client_id"]] = None
-            self._flush_outbox()
+        # A restored warehouse may carry undelivered messages (e.g.
+        # dag-finished notifications recovery keeps); deliver them now
+        # so clients are not left waiting on a ring that the crashed
+        # server already consumed.
+        for row in self.warehouse.table("outbox").select(copy=False):
+            self._dirty_clients[row["client_id"]] = None
+        self._flush_outbox()
 
         self.last_checkpoint: Optional[dict] = None
         self._proc = env.process(self._control_process())
@@ -555,15 +534,14 @@ class SphinxServer:
                 self.stage_in_failures += 1
                 if missing:
                     self._regenerate_lost_inputs(row["dag_id"], missing)
-                elif self._push:
+                else:
                     # Every source had a live replica, so the transfer
                     # failed at the *destination* — an unreachable site.
-                    # Push mode replans the instant this report lands;
+                    # The server replans the instant this report lands;
                     # without a penalty the planner re-picks the dead
                     # site (its completion estimate is frozen at its
                     # healthy-era value) and hot-loops plan -> stage-in
-                    # -> cancel until the horizon.  Poll mode keeps the
-                    # legacy behaviour for trace compatibility.
+                    # -> cancel until the horizon.
                     self.feedback.record_cancellation(site)
             else:
                 self.feedback.record_cancellation(site)
@@ -603,21 +581,6 @@ class SphinxServer:
         self._flush_outbox()  # e.g. a dag-finished message from this report
         return "ok"
 
-    def _rpc_fetch_messages(self, client_id: str) -> list[dict]:
-        """Drain this client's outgoing messages, oldest first."""
-        # Poll-mode drain; push mode delivers directly (_flush_outbox),
-        # so clear any pending-flush mark to avoid an empty delivery.
-        self._dirty_clients.pop(client_id, None)
-        outbox = self.warehouse.table("outbox")
-        # copy=False is safe: delete() unlinks the dicts from the table
-        # but they stay readable for building the reply below.
-        mine = outbox.select(where={"client_id": client_id}, copy=False)
-        for msg in mine:
-            outbox.delete(msg["msg_id"])
-        return [
-            {"kind": m["kind"], "payload": m["payload"]} for m in mine
-        ]
-
     # --------------------------------------------------------------- control loop
     def _control_process(self):
         from repro.sim import Interrupt
@@ -627,16 +590,12 @@ class SphinxServer:
             if self.config.checkpoint_interval_s > 0
             else None
         )
-        push = self._push
         while True:
             self.tick()
             if next_checkpoint is not None and self.env.now >= next_checkpoint:
                 self.checkpoint()
                 next_checkpoint = self.env.now + self.config.checkpoint_interval_s
             try:
-                if not push:
-                    yield self.env.timeout(self.config.tick_s)
-                    continue
                 wake = self._wakeup.wait()
                 if wake.triggered:
                     # A ring landed during this pass; run another now.
@@ -647,7 +606,7 @@ class SphinxServer:
                     delay = deadline - self.env.now
                     if delay <= 0.0:
                         # An overdue deadline must not busy-spin the
-                        # loop at one instant; pace it like a poll tick.
+                        # loop at one instant; pace it by tick_s.
                         delay = self.config.tick_s
                     self._arm_deadline(self.env.now + delay)
                 yield wake  # quiescent server: zero scheduled events
@@ -655,24 +614,23 @@ class SphinxServer:
                 return  # shutdown
 
     def _wake(self) -> None:
-        """Signal the push-mode control latch (no-op in poll mode)."""
-        if self._push:
-            self._wakeup.set()
+        """Signal the control latch."""
+        self._wakeup.set()
 
     def _arm_deadline(self, when: float) -> None:
         """Ensure a live timer rings the control latch at/before ``when``.
 
-        Kernel timers cannot be withdrawn, so instead of arming a fresh
-        timeout every pass (one stale heap entry each), the loop keeps at
+        Instead of arming a fresh timeout every pass, the loop keeps at
         most one *live* deadline timer and re-arms only when the needed
-        deadline moves earlier than it.  A timer that fires early (its
-        deadline was superseded by a later one) just triggers a recompute
-        pass, which is a no-op.
+        deadline moves earlier than it (the superseded timer is
+        cancelled).  A timer that fires early (its deadline was
+        superseded by a later one) just triggers a recompute pass, which
+        is a no-op.
         """
         if self.env.now < self._deadline_at <= when:
             return  # the live timer already covers this deadline
         stale = self._deadline_ev
-        if stale is not None and self.env.lean and not stale.processed:
+        if stale is not None and not stale.processed:
             stale.cancel()  # superseded by an earlier deadline
         self._deadline_at = when
 
@@ -1230,11 +1188,18 @@ class SphinxServer:
             ).add_callback(lambda e: e.defuse() if not e.ok else None)
 
     def _site_view(self, site: str) -> SiteView:
+        """The site's cached view, rebuilt only when it is stale."""
         snap = self.monitoring.snapshot(site)
-        if self._use_view_cache:
-            view = self._view_cache.get(site)
-            if view is not None and self._view_snap[site] is snap:
-                return view
+        view = self._view_cache.get(site)
+        if view is not None and self._view_snap[site] is snap:
+            return view
+        view = self._view_cache[site] = self._build_site_view(site, snap)
+        self._view_snap[site] = snap
+        return view
+
+    def _build_site_view(self, site: str, snap) -> SiteView:
+        """A fresh view of ``site`` from the warehouse, the estimator and
+        its monitoring snapshot ``snap`` (None before the first poll)."""
         planned, unfinished = self._site_active[site]
         remote = self._remote_load
         if remote is not None:
@@ -1255,7 +1220,7 @@ class SphinxServer:
                 else avg
             )
         self._phases.pop()
-        view = SiteView(
+        return SiteView(
             name=site,
             n_cpus=n_cpus,
             planned_jobs=planned,
@@ -1265,10 +1230,6 @@ class SphinxServer:
             avg_completion_s=avg,
             predicted_completion_s=predicted,
         )
-        if self._use_view_cache:
-            self._view_cache[site] = view
-            self._view_snap[site] = snap
-        return view
 
     def _invalidate_site_view(self, site: str) -> None:
         """Drop one site's cached view (its inputs just changed)."""
@@ -1287,8 +1248,6 @@ class SphinxServer:
         common case) gets the candidate list itself, so a plan costs
         O(dirty sites) instead of O(sites).  Callers only read it.
         """
-        if not self._use_view_cache:
-            return [self._site_view(s) for s in candidates]
         views = self._view_list
         dirty = self._view_dirty
         if views is None:
@@ -1444,23 +1403,19 @@ class SphinxServer:
             "kind": kind,
             "payload": payload,
         })
-        if self._push:
-            self._dirty_clients[client_id] = None
+        self._dirty_clients[client_id] = None
 
     def _flush_outbox(self) -> None:
         """Push delivery: send each dirty client its drained batch.
 
         Called at the end of every enqueue scope (a control pass, a
         report handler), so a planning pass emitting many messages for
-        one client costs a single ``deliver`` call — and, on a lean
-        kernel, a single kernel event, versus the notify/fetch round
-        trip's four.  The call is fire-and-forget (the bus pre-defuses
+        one client costs a single ``deliver`` call and a single kernel
+        event.  The call is fire-and-forget (the bus pre-defuses
         faults); client delivery services are registered at construction
         and never unregistered, so a batch put on the wire here cannot
-        be refused.  A client that never registered one degrades to
-        poll semantics: its rows stay in the outbox for
-        ``fetch_messages``.  Poll mode never marks clients dirty and
-        keeps the ``fetch_messages`` drain untouched.
+        be refused.  A client with no delivery service on the bus keeps
+        its rows in the outbox.
         """
         if not self._dirty_clients:
             return
@@ -1540,7 +1495,7 @@ class SphinxServer:
             self._dirty_clients[c] = None
             self._wake()
 
-        # Pace the redelivery like a poll tick — an immediate retry
+        # Pace the redelivery by tick_s — an immediate retry
         # against a partitioned client would spin at one instant.
         self.env.timeout(self.config.tick_s).add_callback(_retry)
 

@@ -128,7 +128,6 @@ def _build_server(
         algorithm=spec.algorithm,
         algorithm_kwargs=dict(spec.algorithm_kwargs),
         use_feedback=spec.use_feedback,
-        mode=scenario.control_plane,
         tick_s=scenario.tick_s,
         job_timeout_s=scenario.job_timeout_s,
         use_prediction_correction=spec.use_prediction_correction,
@@ -136,7 +135,6 @@ def _build_server(
         prediction_correction_strength=spec.prediction_correction_strength,
         reserve_ahead=spec.reserve_ahead,
         reservation_slack=spec.reservation_slack,
-        view_cache=spec.view_cache,
         checkpoint_interval_s=0.0,  # recovery is exercised separately
         migrate_on_drain=spec.migrate_on_drain,
         job_checkpoint_interval_s=spec.job_checkpoint_interval_s,
@@ -160,11 +158,6 @@ def run_scenario(scenario: Scenario,
                  heartbeat=None) -> ExperimentResult:
     """Run one scenario to completion (or its horizon).
 
-    The event-driven control plane runs on the lean kernel
-    (``Environment(lean=True)``): same physics, no bookkeeping events.
-    Poll mode keeps the legacy kernel so its traces stay bit-identical
-    to the historical baselines.
-
     ``obs`` is an optional :class:`repro.obs.Obs` facade.  When absent,
     every layer sees the shared no-op facade and the run is bit-identical
     to an uninstrumented one (no extra kernel events, no RNG draws).
@@ -176,20 +169,20 @@ def run_scenario(scenario: Scenario,
     controller is inert and the run is bit-identical to ``chaos=None``.
 
     ``heartbeat`` is an optional :class:`repro.obs.runtime.Heartbeat`:
-    the kernel's instrumented loop gives it a wall-clock cadence check
+    the kernel's run loop gives it a wall-clock cadence check
     every few thousand events and it emits live progress records
     (stderr + JSONL) plus stall flags.  Wall-clock only — a heartbeat
     run's scheduling output is bit-identical to a bare one.
     """
     if env is None:
-        env = Environment(lean=(scenario.control_plane == "push"))
+        env = Environment()
     obs = obs_mod.get(obs)
     if obs.enabled:
         obs.bind(env)
         if obs.tracer.enabled:
             # Span mode also tallies processed kernel events by type;
-            # the instrumented loop replicates run() exactly, so
-            # event_count (and everything else) is unchanged.
+            # the tally is passive, so event_count (and everything
+            # else) is unchanged.
             env.obs_tally = {}
     if heartbeat is not None:
         spec = scenario.workload_spec()
@@ -244,7 +237,6 @@ def run_scenario(scenario: Scenario,
         client = SphinxClient(
             env, bus, server.service_name, condorg, gridftp, rls,
             user, client_id=f"client-{spec.label}", poll_s=scenario.poll_s,
-            mode=scenario.control_plane,
             # Dedicated jitter stream per client: drawing backoff jitter
             # must never perturb workload/grid streams (and is only
             # drawn at all while a server is unreachable).

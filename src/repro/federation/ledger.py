@@ -10,8 +10,8 @@ Conservation is the invariant that matters: the sum of all shards'
 leases, plus debits whose credit never landed, must equal the global
 grant.  Both sides write idempotent transfer rows into their own
 warehouses (keyed by transfer id), and the **source checkpoints
-synchronously inside the debit handler** — on the lean bus the handler
-and its reply settle atomically, so a received credit always implies a
+synchronously inside the debit handler** — the bus runs the handler
+and settles its reply atomically, so a received credit always implies a
 durable debit.  The only loss mode is a debited slice whose reply
 died with the requester: quota burns (conservative direction) and the
 unmatched debit row keeps the books auditable.
@@ -116,8 +116,8 @@ class ShardQuotaLedger:
              "amount": give, "to_shard": to_shard}
         )
         self.server.policy.grant(user, site, resource, new_amount)
-        # Durable before the reply settles: the lean bus runs this
-        # handler and the reply in one atomic callback, so the
+        # Durable before the reply settles: the bus runs this handler
+        # and the reply in one atomic callback, so the
         # requester can never hold a credit our next checkpoint would
         # forget — that would mint quota out of thin air.
         self._sync_checkpoint()

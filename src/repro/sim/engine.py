@@ -14,18 +14,15 @@ Events scheduled for the same timestamp fire in (priority, insertion
 order).  No iteration over sets or dicts decides ordering anywhere in the
 kernel, so a fixed seed yields a bit-identical trace.
 
-Lean mode
----------
-``Environment(lean=True)`` enables the event-lean kernel used by the
-event-driven ("push") control plane: an event that settles successfully
-with **no subscribers** skips the heap round-trip entirely and is marked
-processed in place (late subscribers still observe it through
-:meth:`Event.add_callback`'s processed branch), and processes start
-inline at their spawn instant instead of via a boot event.  Simulated
-physics are unchanged — only bookkeeping events disappear — but event
-ordering at an instant can differ from the legacy trace, so the default
-(``lean=False``) keeps the historical bit-identical behaviour that the
-polling control plane is benchmarked against.
+Settling
+--------
+An event that settles successfully with **no subscribers** skips the
+heap round-trip entirely and is marked processed in place; a late
+subscriber still observes it through :meth:`Event.add_callback`'s
+processed branch.  Processes start inline at their spawn instant
+instead of via a boot event, and a timer whose waiter no longer cares
+is withdrawn with :meth:`Timeout.cancel`.  Only bookkeeping events are
+elided this way: simulated physics see the same instants.
 """
 
 from __future__ import annotations
@@ -128,13 +125,13 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        env = self.env
-        if env.lean and not self.callbacks:
-            # Lean kernel: nobody is subscribed, so the heap round-trip
-            # would fire zero callbacks.  Mark processed in place; a late
+        if not self.callbacks:
+            # Nobody is subscribed, so the heap round-trip would fire
+            # zero callbacks.  Mark processed in place; a late
             # subscriber goes through add_callback's processed branch.
             self.callbacks = None
             return self
+        env = self.env
         env._seq += 1
         heappush(env._heap, (env._now, (priority << _KEY_SHIFT) + env._seq, self))
         return self
@@ -194,9 +191,8 @@ class Timeout(Event):
         ``event_count`` — the kernel never processed it.  Any remaining
         callbacks are dropped, so only cancel a timer whose subscribers
         no longer care (e.g. the losing branch of a resolved
-        :class:`AnyOf`).  Lean-kernel call sites use this to keep stale
-        safety-net timers out of the event ledger; cancelling from
-        legacy-trace code would change historical event counts.
+        :class:`AnyOf`); this keeps stale safety-net timers out of the
+        event ledger.
         """
         if self.callbacks is None:
             raise SimulationError("cancel() of a fired or cancelled timeout")
@@ -336,26 +332,22 @@ class AllOf(_Condition):
 class Environment:
     """Owns the simulation clock and the pending-event heap."""
 
-    __slots__ = ("_now", "_heap", "_seq", "event_count", "lean", "obs_tally",
+    __slots__ = ("_now", "_heap", "_seq", "event_count", "obs_tally",
                  "heartbeat")
 
-    def __init__(self, initial_time: float = 0.0, lean: bool = False):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         #: number of events processed so far (profiling / debugging aid)
         self.event_count = 0
-        #: event-lean kernel mode (see module docstring): subscriber-less
-        #: successful settles and process boots skip the heap.
-        self.lean = bool(lean)
         #: observability hook: set to a dict (event type name -> count)
-        #: to tally every processed event by type.  ``run`` then takes a
-        #: non-inlined loop — same semantics, same ``event_count``, just
-        #: slower — so the default fast paths stay untouched.
+        #: to tally every processed event by type (same ``event_count``,
+        #: same order; only the tally is added).
         self.obs_tally: Optional[dict[str, int]] = None
         #: observability hook: a :class:`repro.obs.runtime.Heartbeat`
-        #: whose ``tick(sim_now, events_processed)`` the instrumented
-        #: loop calls every ``_HB_STRIDE`` processed events.  Wall-clock
+        #: whose ``tick(sim_now, events_processed)`` the run loop calls
+        #: every ``_HB_STRIDE`` processed events.  Wall-clock
         #: only — it never touches the heap, the clock, or any RNG, so
         #: a heartbeat run stays bit-identical to a bare one.
         self.heartbeat = None
@@ -444,6 +436,12 @@ class Environment:
         if not event._ok and not event._defused:
             raise event._value
 
+    #: processed events between heartbeat cadence checks.  4096 events
+    #: take about a millisecond, so a wall-clock heartbeat interval is
+    #: honoured to within a millisecond while the per-event cost stays
+    #: one decrement + one branch.
+    _HB_STRIDE = 4096
+
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the loop.
 
@@ -454,139 +452,25 @@ class Environment:
         * an :class:`Event` — run until that event is processed and return
           its value (raising its exception if it failed).
 
-        The loop bodies below inline :meth:`step` (minus the
-        corruption guard — ``schedule`` already rejects negative
-        delays, so heap order implies a monotone clock) with
-        per-iteration attribute lookups hoisted into locals; the event
-        loop dominates every benchmark, so the duplication pays.
+        The loop inlines :meth:`step` (minus the corruption guard —
+        ``schedule`` already rejects negative delays, so heap order
+        implies a monotone clock).  With :attr:`obs_tally` set every
+        processed event bumps ``obs_tally[type name]``; with
+        :attr:`heartbeat` set the heartbeat gets a wall-clock cadence
+        check every ``_HB_STRIDE`` processed events.  Neither touches
+        the heap, the clock or any RNG.
+
         ``event_count`` is not incremented per pop: every push bumps
         ``_seq``, so pops = (entries at entry + pushes during the run)
         − entries left − cancelled tombstones popped, computed once on
         exit (a cancelled timer was never processed; see
         :meth:`Timeout.cancel`).
         """
-        if self.obs_tally is not None or self.heartbeat is not None:
-            return self._run_instrumented(until)
         heap = self._heap
         pop = heapq.heappop
-        seq0 = self._seq
-        len0 = len(heap)
-        skipped = 0
-        try:
-            # The ``self._now = when`` store sits inside the callbacks
-            # branch: an event with no callbacks runs no code, so the
-            # intermediate clock value is unobservable; the loop exit (or
-            # raise) restores the invariant with one final store.
-            if until is None:
-                when = self._now
-                while heap:
-                    when, _key, event = pop(heap)
-                    callbacks, event.callbacks = event.callbacks, None
-                    if callbacks:
-                        self._now = when
-                        for cb in callbacks:
-                            cb(event)
-                        if not event._ok and not event._defused:
-                            raise event._value
-                    elif callbacks is None:
-                        skipped += 1  # cancelled tombstone
-                    elif not event._ok and not event._defused:
-                        self._now = when
-                        raise event._value
-                self._now = when
-                return None
-
-            if isinstance(until, Event):
-                sentinel = until
-                finished: list[Event] = []
-                sentinel.add_callback(finished.append)
-                when = self._now
-                while heap and not finished:
-                    when, _key, event = pop(heap)
-                    callbacks, event.callbacks = event.callbacks, None
-                    if callbacks:
-                        self._now = when
-                        for cb in callbacks:
-                            cb(event)
-                        if not event._ok and not event._defused:
-                            raise event._value
-                    elif callbacks is None:
-                        skipped += 1  # cancelled tombstone
-                    elif not event._ok and not event._defused:
-                        self._now = when
-                        raise event._value
-                self._now = when
-                if not finished:
-                    raise SimulationError(
-                        "run(until=event) exhausted the event heap before "
-                        "the target event fired"
-                    )
-                if not sentinel.ok:
-                    raise sentinel.value
-                return sentinel.value
-
-            horizon = float(until)
-            if horizon < self._now:
-                raise ValueError(
-                    f"cannot run until {horizon} < now {self._now}"
-                )
-            while heap and heap[0][0] <= horizon:
-                when, _key, event = pop(heap)
-                callbacks, event.callbacks = event.callbacks, None
-                if callbacks:
-                    self._now = when
-                    for cb in callbacks:
-                        cb(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                elif callbacks is None:
-                    skipped += 1  # cancelled tombstone
-                elif not event._ok and not event._defused:
-                    self._now = when
-                    raise event._value
-            self._now = horizon
-            return None
-        finally:
-            self.event_count += len0 + (self._seq - seq0) - len(heap) - skipped
-
-    #: processed events between heartbeat cadence checks.  4096 events
-    #: take ~1 ms even on the slow instrumented loop, so a wall-clock
-    #: heartbeat interval is honoured to within a millisecond while the
-    #: per-event cost stays one decrement + one branch.
-    _HB_STRIDE = 4096
-
-    def _run_instrumented(self, until: Optional[float | Event] = None) -> Any:
-        """The :meth:`run` semantics with observability hooks live.
-
-        Entered when :attr:`obs_tally` (trace mode) and/or
-        :attr:`heartbeat` is set.  One generic loop replaces the three
-        inlined fast paths; every processed (non-tombstone) event bumps
-        ``obs_tally[type name]``, mirroring exactly what ``event_count``
-        counts, so the tally's sum equals the events processed by this
-        call; every ``_HB_STRIDE`` processed events the heartbeat gets a
-        chance to emit a progress record (wall-clock work only — the
-        simulation cannot observe it).
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        tally = self.obs_tally
-        heartbeat = self.heartbeat
-        hb_stride = self._HB_STRIDE
-        hb_left = hb_stride
-        base = self.event_count
-        processed = 0
-        if heartbeat is not None:
-            # Start the wall clock at loop entry, not at the first
-            # stride boundary — cumulative events/s stays honest even
-            # when the run is only a few strides long.
-            heartbeat.tick(self._now, base)
-        seq0 = self._seq
-        len0 = len(heap)
-        skipped = 0
-
         sentinel: Optional[Event] = None
-        horizon: Optional[float] = None
         finished: list[Event] = []
+        horizon = float("inf")
         if isinstance(until, Event):
             sentinel = until
             sentinel.add_callback(finished.append)
@@ -596,27 +480,41 @@ class Environment:
                 raise ValueError(
                     f"cannot run until {horizon} < now {self._now}"
                 )
+        tally = self.obs_tally
+        heartbeat = self.heartbeat
+        hooked = tally is not None or heartbeat is not None
+        hb_stride = hb_left = self._HB_STRIDE
+        base = self.event_count
+        seq0 = self._seq
+        len0 = len(heap)
+        skipped = 0
+        if heartbeat is not None:
+            # Start the wall clock at loop entry, not at the first
+            # stride boundary — cumulative events/s stays honest even
+            # when the run is only a few strides long.
+            heartbeat.tick(self._now, base)
         try:
+            # The ``self._now = when`` store sits inside the callbacks
+            # branch: an event with no callbacks runs no code, so the
+            # intermediate clock value is unobservable; the loop exit (or
+            # raise) restores the invariant with one final store.
             when = self._now
-            while heap:
-                if finished:
-                    break
-                if horizon is not None and heap[0][0] > horizon:
-                    break
+            while heap and not finished and heap[0][0] <= horizon:
                 when, _key, event = pop(heap)
                 callbacks, event.callbacks = event.callbacks, None
                 if callbacks is None:
                     skipped += 1  # cancelled tombstone
                     continue
-                processed += 1
-                if tally is not None:
-                    name = type(event).__name__
-                    tally[name] = tally.get(name, 0) + 1
-                if heartbeat is not None:
-                    hb_left -= 1
-                    if not hb_left:
-                        hb_left = hb_stride
-                        heartbeat.tick(when, base + processed)
+                if hooked:
+                    if tally is not None:
+                        name = type(event).__name__
+                        tally[name] = tally.get(name, 0) + 1
+                    if heartbeat is not None:
+                        hb_left -= 1
+                        if not hb_left:
+                            hb_left = hb_stride
+                            heartbeat.tick(when, base + len0 + (
+                                self._seq - seq0) - len(heap) - skipped)
                 if callbacks:
                     self._now = when
                     for cb in callbacks:
@@ -626,16 +524,19 @@ class Environment:
                 elif not event._ok and not event._defused:
                     self._now = when
                     raise event._value
-            self._now = when if horizon is None else horizon
-            if sentinel is not None:
-                if not finished:
-                    raise SimulationError(
-                        "run(until=event) exhausted the event heap before "
-                        "the target event fired"
-                    )
-                if not sentinel.ok:
-                    raise sentinel.value
-                return sentinel.value
-            return None
+            if until is None or sentinel is not None:
+                self._now = when
+            else:
+                self._now = horizon
+            if sentinel is None:
+                return None
+            if not finished:
+                raise SimulationError(
+                    "run(until=event) exhausted the event heap before "
+                    "the target event fired"
+                )
+            if not sentinel.ok:
+                raise sentinel.value
+            return sentinel.value
         finally:
             self.event_count += len0 + (self._seq - seq0) - len(heap) - skipped

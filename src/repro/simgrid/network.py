@@ -144,7 +144,6 @@ class NetworkModel:
         self._bump(dst, +1)
         try:
             remaining = float(size_mb)
-            lean = self.env.lean
             while remaining > 1e-9:
                 share = self.bandwidth_mbps(src, dst) / max(
                     self._active.get(src, 1), self._active.get(dst, 1)
@@ -154,7 +153,7 @@ class NetworkModel:
                 yield self.env.any_of(
                     [done, self._epoch_event(src), self._epoch_event(dst)]
                 )
-                if lean and not done.processed:
+                if not done.processed:
                     # A share change preempted this slice; the stale
                     # completion timer would pop much later for nothing.
                     done.cancel()

@@ -40,11 +40,15 @@ class FakeConfigStack(Stack):
 
 def test_in_flight_jobs_requeued_on_recovery():
     st, checkpoint = make_checkpoint()
+    assert checkpoint["tables"]["jobs"]["rows"][0]["state"] == \
+        JobState.PLANNED.value
     server2 = recover(st, checkpoint)
+    # The recovered server's first control pass runs in its
+    # constructor: the requeued job is already replanned, as attempt 2.
     row = server2.warehouse.table("jobs").get("c.a")
-    assert row["state"] == JobState.CANCELLED.value
-    assert row["last_status"] == "recovered"
-    assert row["site"] is None
+    assert row["state"] == JobState.PLANNED.value
+    assert row["last_status"] == "planned"
+    assert row["attempts"] == 2
 
 
 def test_stale_plan_messages_dropped():
@@ -55,8 +59,11 @@ def test_stale_plan_messages_dropped():
         for r in checkpoint["tables"]["outbox"]["rows"]
     )
     server2 = recover(st, checkpoint)
-    kinds = [r["kind"] for r in server2.warehouse.table("outbox")]
-    assert "plan" not in kinds
+    # Only the replan's attempt-2 plan is queued; the attempt-1 plan
+    # from the checkpoint was dropped.
+    plans = [r["payload"] for r in server2.warehouse.table("outbox")
+             if r["kind"] == "plan"]
+    assert [(p["job_id"], p["attempt"]) for p in plans] == [("c.a", 2)]
 
 
 def test_dag_finished_notifications_survive():
@@ -94,9 +101,12 @@ def test_recovered_server_replans_requeued_job():
 def test_site_counters_rebuilt_from_restored_table():
     st, checkpoint = make_checkpoint()
     server2 = recover(st, checkpoint)
-    # The requeued job holds no active slot anywhere.
-    assert all(c == [0, 0] for c in server2._site_active.values())
-    server2.policy.grant_unlimited("/VO=v/CN=u")
-    server2.tick()
+    # The requeued attempt holds no stale slot: the one planned count
+    # is the replan made by the recovered server's first pass.
+    site = server2.warehouse.table("jobs").get("c.a")["site"]
+    assert server2._site_active[site] == [1, 0]
     planned_total = sum(c[0] for c in server2._site_active.values())
     assert planned_total == 1
+    server2.policy.grant_unlimited("/VO=v/CN=u")
+    server2.tick()
+    assert sum(c[0] for c in server2._site_active.values()) == 1

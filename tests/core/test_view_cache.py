@@ -1,25 +1,18 @@
 """The incremental site-view cache must be decision-identical.
 
-Two layers of evidence:
-
-* unit: after every kind of state transition the cached view equals a
-  from-scratch rebuild (the cache path and the rebuild path are the
-  same ``_site_view`` body, so equality means the invalidation hooks
-  fired where they had to);
-* scenario: full runs with the cache on and off produce identical
-  deterministic results (event counts, completions, placements) in
-  both control-plane modes — the property the fig2 golden test pins
-  forever for the default configuration.
+After every kind of state transition the cached view, and every
+candidate list the planner hands an algorithm, equals a from-scratch
+rebuild (the cache path and the reference both call
+``_build_site_view``, so equality means the invalidation hooks fired
+where they had to).  End to end, the golden fingerprints in
+``tests/golden`` pin the decisions the cached planner makes.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ServerConfig, SphinxServer
 from repro.core.serialize import dag_to_payload
-from repro.experiments import Scenario, ServerSpec, run_scenario
-from repro.experiments.parallel import headline_metrics
 from repro.services import MonitoringService, ReplicaService, RpcBus
 from repro.sim import Environment
 from repro.sim.rng import RngStreams
@@ -55,11 +48,7 @@ def _dag(dag_id):
 
 def _fresh_view(server, site):
     """A from-scratch rebuild, bypassing the cache entirely."""
-    server._use_view_cache = False
-    try:
-        return server._site_view(site)
-    finally:
-        server._use_view_cache = True
+    return server._build_site_view(site, server.monitoring.snapshot(site))
 
 
 def _assert_views_match(server, grid_sites):
@@ -92,15 +81,20 @@ def test_cache_invalidated_by_planning_transitions():
 
 def test_cache_invalidated_by_monitoring_refresh():
     env, server = _stack()
+    # The monitoring service takes its first poll at construction.
     before = server._site_view("s0")
-    assert before.monitored_queued is None  # nothing polled yet
+    assert before.monitored_queued == 0
+    first_snap = server._view_snap["s0"]
+    for n in range(6):  # 4 CPUs: the next poll sees 2 queued
+        server.monitoring.grid.site("s0").submit(
+            f"bg{n}", runtime_s=500.0, detached=True)
     env.run(until=env.timeout(61.0))  # one monitoring poll elapses
     _assert_views_match(server, ("s0", "s1", "s2"))
     # The snapshot identity check must have rebuilt against the new
-    # poll, not served the pre-poll view (whose monitored fields were
-    # still the no-data Nones).
+    # poll, not served the pre-poll view (whose queue was still empty).
     assert server._view_snap["s0"] is server.monitoring.snapshot("s0")
-    assert server._site_view("s0").monitored_queued == 0
+    assert server._view_snap["s0"] is not first_snap
+    assert server._site_view("s0").monitored_queued == 2
 
 
 def test_recovery_clears_cache():
@@ -135,32 +129,6 @@ def test_property_cached_views_equal_rebuild(ops):
                                    dag_to_payload(_dag(f"d{dag_n}")))
         env.run(until=env.timeout(run_s))
         _assert_views_match(server, sites)
-
-
-@pytest.mark.parametrize("control_plane", ["push", "poll"])
-@pytest.mark.parametrize("seed", [7, 42])
-def test_scenario_identical_with_and_without_cache(control_plane, seed):
-    """End to end, both control planes: a full faulty-grid run (site
-    deaths, timeouts, feedback flips, background load) reaches exactly
-    the same result with the cache on and off."""
-    def run(view_cache):
-        scenario = Scenario(
-            name="cache-eqv",
-            servers=(
-                ServerSpec("ct", "completion-time", view_cache=view_cache),
-                ServerSpec("rr", "round-robin", view_cache=view_cache),
-            ),
-            n_dags=3,
-            seed=seed,
-            horizon_s=6 * 3600.0,
-            control_plane=control_plane,
-        )
-        result = run_scenario(scenario)
-        return result.event_count, result.rpc_count, \
-            headline_metrics(result), \
-            {label: s.jobs_per_site for label, s in result.servers.items()}
-
-    assert run(True) == run(False)
 
 
 # -- the planner's candidate-view list ---------------------------------------
@@ -308,15 +276,6 @@ def test_full_catalog_plan_gets_the_list_itself():
     sub = server._candidate_views(("s2", "s0"))
     assert sub is not views
     assert sub == [views[2], views[0]]
-
-
-def test_view_cache_off_rebuilds_per_site():
-    env, server = _stack(view_cache=False)
-    views = server._candidate_views(server._catalog_sites)
-    assert server._view_list is None
-    again = server._candidate_views(server._catalog_sites)
-    assert again == views
-    assert all(a is not b for a, b in zip(again, views))
 
 
 def test_recovery_drops_candidate_list():

@@ -7,12 +7,11 @@ import pytest
 from benchmarks.perf_trend import SCHEMA, append_run, compare, main
 
 
-def suite(events_per_s, scale=0.1, control_plane="push", name="fig2"):
+def suite(events_per_s, scale=0.1, name="fig2"):
     return {
         "schema": "repro-bench-suite/v1",
         "scale": scale,
         "workers": 2,
-        "control_plane": control_plane,
         "figures": {
             name: {
                 "events_per_s": events_per_s,
@@ -68,6 +67,14 @@ class TestAppendRun:
         # Previous comparable run is the 0.1-scale one, two entries back.
         _, _, regressions = append_run(suite(5_000, scale=0.1), trend,
                                        timestamp=2.0)
+        assert len(regressions) == 1
+
+    def test_cached_entries_with_a_control_plane_key_stay_comparable(self):
+        # Trend entries written before the control plane was fixed carry
+        # "control_plane": "push"; new entries have no such key.
+        trend, _, _ = append_run(suite(10_000), None, timestamp=0.0)
+        trend["entries"][0]["control_plane"] = "push"
+        _, _, regressions = append_run(suite(7_000), trend, timestamp=1.0)
         assert len(regressions) == 1
 
     def test_history_trimmed(self):

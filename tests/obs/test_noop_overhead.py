@@ -3,7 +3,7 @@
 The contract from :mod:`repro.obs`: tracer and registry are strictly
 passive — no kernel events, no RNG draws, no clock movement — so an
 instrumented run is *bit-identical* to a bare one.  These tests pin
-that down for both control planes and for every collection mode:
+that down for every collection mode:
 
 * no obs vs metrics-only vs spans (with the kernel event-type tally):
   identical event counts and headline scheduling metrics;
@@ -23,9 +23,8 @@ SEED = 7
 HORIZON_S = 6 * 3600.0
 
 
-def run(mode, obs=None):
-    scenario = fig2_scenario(N_DAGS, SEED, horizon_s=HORIZON_S,
-                             control_plane=mode)
+def run(obs=None):
+    scenario = fig2_scenario(N_DAGS, SEED, horizon_s=HORIZON_S)
     return run_scenario(scenario, obs=obs)
 
 
@@ -55,21 +54,22 @@ def scheduling_only(h):
     return {k: v for k, v in h.items() if k != "event_count"}
 
 
-@pytest.fixture(scope="module", params=["push", "poll"])
+# The single "push" id keeps these tests' historical names stable.
+@pytest.fixture(scope="module", params=["push"])
 def baseline(request):
-    return request.param, headline(run(request.param))
+    return headline(run())
 
 
 def test_metrics_only_obs_is_bit_identical(baseline):
-    mode, bare = baseline
+    bare = baseline
     obs = Obs(ObsConfig(spans=False))
-    assert headline(run(mode, obs=obs)) == bare
+    assert headline(run(obs=obs)) == bare
 
 
 def test_span_tracing_is_bit_identical(baseline):
-    mode, bare = baseline
+    bare = baseline
     obs = Obs(ObsConfig(spans=True))
-    result = run(mode, obs=obs)
+    result = run(obs=obs)
     assert headline(result) == bare
     # The tallied kernel loop really ran, and its per-type counts add
     # up to exactly the processed-event total.
@@ -81,10 +81,10 @@ def test_span_tracing_is_bit_identical(baseline):
 
 
 def test_site_sampling_adds_only_sampler_events(baseline):
-    mode, bare = baseline
+    bare = baseline
     obs = Obs(ObsConfig(spans=False, sample_sites=True,
                         telemetry_interval_s=600.0))
-    result = run(mode, obs=obs)
+    result = run(obs=obs)
     h = headline(result)
     assert scheduling_only(h) == scheduling_only(bare)
     assert h["event_count"] > bare["event_count"]
@@ -99,15 +99,14 @@ def test_full_flight_recorder_is_bit_identical(baseline, tmp_path):
     from repro.obs import Heartbeat
     from repro.obs.export import JsonlSpanSink
 
-    mode, bare = baseline
-    sink = JsonlSpanSink(tmp_path / f"{mode}.spans.jsonl", flush_every=7)
+    bare = baseline
+    sink = JsonlSpanSink(tmp_path / "spans.jsonl", flush_every=7)
     obs = Obs(ObsConfig(spans=True, histogram_max_samples=32,
                         span_sink=sink, max_open_spans=10_000))
-    hb = Heartbeat(path=tmp_path / f"{mode}.heartbeat.jsonl",
+    hb = Heartbeat(path=tmp_path / "heartbeat.jsonl",
                    stream=None, every_events=1500)
     result = run_scenario(
-        fig2_scenario(N_DAGS, SEED, horizon_s=HORIZON_S,
-                      control_plane=mode),
+        fig2_scenario(N_DAGS, SEED, horizon_s=HORIZON_S),
         obs=obs, heartbeat=hb)
     assert headline(result) == bare
     assert hb.records[-1]["final"] is True

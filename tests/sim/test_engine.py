@@ -203,3 +203,119 @@ def test_timeout_is_event_subclass():
     env = Environment()
     assert isinstance(env.timeout(0.0), Event)
     assert isinstance(env.timeout(0.0), Timeout)
+
+
+# -- the run loop: every stop condition, with and without hooks ---------------
+class _Beats:
+    """Heartbeat stand-in: records every cadence check."""
+
+    def __init__(self):
+        self.ticks = []
+
+    def tick(self, sim_now, events):
+        self.ticks.append((sim_now, events))
+
+
+def _scripted(env):
+    """Timers (one with no subscriber, one exactly at the 6.0 horizon),
+    a cancelled timer, a failure a process catches, a late timer;
+    returns the callback log and the process."""
+    log = []
+
+    def record(tag):
+        return lambda _ev: log.append((tag, env.now))
+
+    env.timeout(0.5)  # processed, runs no callback
+    env.timeout(1.0).add_callback(record("t1"))
+    env.timeout(2.0).add_callback(record("t2"))
+    stale = env.timeout(3.0)
+    stale.add_callback(record("stale"))
+    stale.cancel()  # a tombstone: pops silently, never counted
+
+    def body():
+        log.append(("start", env.now))
+        failing = env.event()
+        env.timeout(4.0).add_callback(
+            lambda _ev: failing.fail(ValueError("boom")))
+        try:
+            yield failing
+        except ValueError:
+            log.append(("caught", env.now))
+        yield env.timeout(1.0)
+        log.append(("end", env.now))
+        return "done"
+
+    proc = env.process(body())
+    env.timeout(6.0).add_callback(record("t6"))
+    env.timeout(10.0).add_callback(record("late"))
+    return log, proc
+
+
+def _hooked_env(hook):
+    env = Environment()
+    beats = None
+    if hook == "obs_tally":
+        env.obs_tally = {}
+    elif hook == "heartbeat":
+        beats = env.heartbeat = _Beats()
+    return env, beats
+
+
+#: until kind -> (event_count, final now, return value)
+_EXPECTED = {
+    "none": (8, 10.0, None),
+    "horizon": (7, 6.0, None),
+    "event": (7, 5.0, "done"),
+}
+
+
+@pytest.mark.parametrize("hook", ["bare", "obs_tally", "heartbeat"])
+@pytest.mark.parametrize("until", ["none", "horizon", "event"])
+def test_run_loop_agrees_across_stop_conditions_and_hooks(
+        until, hook, monkeypatch):
+    monkeypatch.setattr(Environment, "_HB_STRIDE", 2)
+    env, beats = _hooked_env(hook)
+    log, proc = _scripted(env)
+    target = {"none": None, "horizon": 6.0, "event": proc}[until]
+    value = env.run(until=target)
+    assert (env.event_count, env.now, value) == _EXPECTED[until]
+    expected_log = [("start", 0.0), ("t1", 1.0), ("t2", 2.0),
+                    ("caught", 4.0), ("end", 5.0)]
+    if until != "event":
+        expected_log.append(("t6", 6.0))
+    if until == "none":
+        expected_log.append(("late", 10.0))
+    assert log == expected_log
+    if hook == "obs_tally":
+        # The tally counts exactly what event_count counts: the
+        # cancelled timer is in neither.
+        assert sum(env.obs_tally.values()) == env.event_count
+        assert env.obs_tally == {
+            "none": {"Timeout": 7, "Event": 1},
+            "horizon": {"Timeout": 6, "Event": 1},
+            "event": {"Timeout": 5, "Event": 1, "Process": 1},
+        }[until]
+    if hook == "heartbeat":
+        # One check at loop entry, then one per stride of processed
+        # events, each reporting the running processed count.
+        assert beats.ticks[0] == (0.0, 0)
+        counts = [n for _t, n in beats.ticks[1:]]
+        assert counts == list(range(2, env.event_count + 1, 2))
+
+
+@pytest.mark.parametrize("hook", ["bare", "obs_tally", "heartbeat"])
+@pytest.mark.parametrize("until", ["none", "horizon", "event"])
+def test_run_loop_raises_an_undefused_failure_the_same_way(until, hook):
+    env, _beats = _hooked_env(hook)
+    orphan = env.event()
+    env.timeout(1.0).add_callback(lambda _ev: None)
+    env.timeout(2.0).add_callback(
+        lambda _ev: orphan.fail(RuntimeError("nobody waits")))
+    stale = env.timeout(1.5)
+    stale.cancel()
+    sentinel = env.timeout(50.0)
+    target = {"none": None, "horizon": 20.0, "event": sentinel}[until]
+    with pytest.raises(RuntimeError, match="nobody waits"):
+        env.run(until=target)
+    # Processed: the two timers and the failed event; not the tombstone.
+    assert (env.event_count, env.now) == (3, 2.0)

@@ -28,7 +28,7 @@ from repro.simgrid.site import GridSite
 GOLDEN_SHA256 = "559ed46f004c45a3ff7078885e54427d08974b2226925743eb4b48e6ccedd04f"
 GOLDEN_SUBMISSIONS = 731
 GOLDEN_SURGES = 3
-GOLDEN_EVENT_COUNT = 3605
+GOLDEN_EVENT_COUNT = 1573
 
 
 def _run(batch_interval_s, horizon_s=6 * 3600.0, seed=123,
